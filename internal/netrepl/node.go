@@ -13,9 +13,13 @@
 //     send and re-established after failures with exponential backoff
 //     plus jitter;
 //   - a bounded per-peer outbound queue; commits enqueue and return,
-//     a dedicated sender goroutine per peer coalesces queued
-//     transactions into batch frames (Config.FlushInterval and
-//     Config.MaxBatchTxns bound the coalescing window and batch size);
+//     and a dedicated sender goroutine per peer turns queued
+//     transactions into batch frames of at most Config.MaxBatchTxns.
+//     It batches only under load: when the previous frame left at least
+//     Config.FlushInterval ago the link is idle and a transaction leaves
+//     at once with whatever is already queued; when it left more
+//     recently the batch stays open for FlushInterval so a commit burst
+//     coalesces into one frame;
 //   - backpressure instead of unbounded memory: when a peer's queue is
 //     full the committing transaction blocks until the sender drains
 //     (counted in Metrics.BackpressureWaits), never dropping a frame —
@@ -96,10 +100,12 @@ const ackMagic = 0x41434B31 // "ACK1"
 // Config tunes the streaming transport. The zero value selects the
 // defaults noted on each field; see DefaultConfig.
 type Config struct {
-	// FlushInterval is how long a sender waits after the first queued
-	// transaction for more to coalesce into the same batch frame.
-	// Default 500µs: long enough to batch a commit burst, short enough
-	// to keep single-transaction latency in the sub-millisecond range.
+	// FlushInterval is the coalescing window while the link is busy: if
+	// the previous frame left less than FlushInterval ago, a sender waits
+	// this long after the first queued transaction for more to join the
+	// same batch frame. On an idle link (the previous frame left longer
+	// ago) it sends at once with what is queued and does not wait.
+	// Default 500µs: long enough to batch a commit burst under load.
 	FlushInterval time.Duration
 	// MaxBatchTxns caps the transactions per batch frame. Default 256.
 	MaxBatchTxns int

@@ -41,6 +41,17 @@ type peerConn struct {
 	// oversizedLogged limits the undeliverable-transaction log line to
 	// once per peer (the counter keeps the full tally).
 	oversizedLogged bool
+
+	// batch is the batch buffer collect fills, reused across frames (it
+	// grows to the largest batch this link has needed) and cleared after
+	// each delivery so it pins no transaction.
+	batch []store.WireTxn
+	// linger times the coalescing window; one timer per peer, reset for
+	// each frame that waits in it.
+	linger *time.Timer
+	// lastFrame is when the previous frame finished delivery; zero before
+	// the first. It is how collect tells an idle link from a busy one.
+	lastFrame time.Time
 }
 
 func newPeerConn(n *Node, id clock.ReplicaID, addr string) *peerConn {
@@ -51,12 +62,15 @@ func newPeerConn(n *Node, id clock.ReplicaID, addr string) *peerConn {
 	h.Write([]byte(n.id))
 	h.Write([]byte{0})
 	h.Write([]byte(id))
+	linger := time.NewTimer(time.Hour)
+	linger.Stop()
 	return &peerConn{
 		n: n, id: id, addr: addr,
-		ch:   make(chan store.WireTxn, n.cfg.QueueCap),
-		quit: make(chan struct{}),
-		rng:  rand.New(rand.NewSource(int64(h.Sum64()))),
-		enc:  store.NewFrameEncoder(n.cfg.WireVersion),
+		ch:     make(chan store.WireTxn, n.cfg.QueueCap),
+		quit:   make(chan struct{}),
+		rng:    rand.New(rand.NewSource(int64(h.Sum64()))),
+		enc:    store.NewFrameEncoder(n.cfg.WireVersion),
+		linger: linger,
 	}
 }
 
@@ -107,13 +121,25 @@ func (p *peerConn) run() {
 			atomic.AddUint64(&p.n.m.txnsDropped, dropped)
 			return
 		}
+		p.lastFrame = time.Now()
+		clear(batch)
 	}
 }
 
-// collect blocks for the next transaction, then keeps the batch open for
-// FlushInterval (or until MaxBatchTxns) so a commit burst coalesces into
-// one frame. After Close it returns whatever is queued without waiting,
-// and nil once the queue is empty.
+// collect blocks for the next transaction and returns it with whatever
+// else is queued, as one batch of at most MaxBatchTxns. Whether it waits
+// for more depends on how long ago the previous frame left:
+//
+//   - idle link (FlushInterval or longer): nothing is coalescing behind
+//     this transaction, so the batch leaves at once with what is queued
+//     now — a lone commit costs no linger;
+//   - busy link (more recently): commits are streaming in, so the batch
+//     stays open for FlushInterval (or until MaxBatchTxns) and a burst
+//     coalesces into one frame.
+//
+// After Close it returns whatever is queued without waiting, and nil once
+// the queue is empty. The batch aliases p.batch; it is valid until the
+// next call.
 func (p *peerConn) collect() []store.WireTxn {
 	var first store.WireTxn
 	select {
@@ -131,33 +157,38 @@ func (p *peerConn) collect() []store.WireTxn {
 			return nil
 		}
 	}
-	batch := append(make([]store.WireTxn, 0, p.n.cfg.MaxBatchTxns), first)
-	timer := time.NewTimer(p.n.cfg.FlushInterval)
-	defer timer.Stop()
-	drain := func() []store.WireTxn {
-		for len(batch) < p.n.cfg.MaxBatchTxns {
-			select {
-			case w := <-p.ch:
-				batch = append(batch, w)
-			default:
-				return batch
-			}
-		}
-		return batch
+	p.batch = append(p.batch[:0], first)
+	if time.Since(p.lastFrame) >= p.n.cfg.FlushInterval {
+		return p.drain()
 	}
-	for len(batch) < p.n.cfg.MaxBatchTxns {
+	p.linger.Reset(p.n.cfg.FlushInterval)
+	defer p.linger.Stop()
+	for len(p.batch) < p.n.cfg.MaxBatchTxns {
 		select {
 		case w := <-p.ch:
-			batch = append(batch, w)
-		case <-timer.C:
-			return batch
+			p.batch = append(p.batch, w)
+		case <-p.linger.C:
+			return p.batch
 		case <-p.n.closed:
-			return drain()
+			return p.drain()
 		case <-p.quit:
-			return drain()
+			return p.drain()
 		}
 	}
-	return batch
+	return p.batch
+}
+
+// drain tops the batch up with what is already queued, without blocking.
+func (p *peerConn) drain() []store.WireTxn {
+	for len(p.batch) < p.n.cfg.MaxBatchTxns {
+		select {
+		case w := <-p.ch:
+			p.batch = append(p.batch, w)
+		default:
+			return p.batch
+		}
+	}
+	return p.batch
 }
 
 // deliver writes the batch as one frame, dialing or re-dialing as needed

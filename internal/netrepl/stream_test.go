@@ -12,11 +12,16 @@ import (
 	"ipa/internal/store"
 )
 
-// waitUntil polls cond every millisecond until it holds or the deadline
-// expires.
+// waitUntil polls cond every millisecond until it holds or 5 s pass.
 func waitUntil(t *testing.T, what string, cond func() bool) {
 	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
+	waitWithin(t, 5*time.Second, what, cond)
+}
+
+// waitWithin polls cond every millisecond until it holds or d passes.
+func waitWithin(t *testing.T, d time.Duration, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(d)
 	for time.Now().Before(deadline) {
 		if cond() {
 			return
@@ -327,8 +332,9 @@ func TestCorruptFrameDropsConnectionOnly(t *testing.T) {
 // is still full: Close must drain everything to the live peer before
 // returning, dropping nothing.
 func TestCleanShutdownFlushesQueue(t *testing.T) {
-	// A huge flush interval guarantees the queue is non-empty at Close:
-	// the sender is still sitting in its coalescing window.
+	// The first commit leaves at once on the idle link. The link is then
+	// busy for a minute (the flush interval), so the next 199 sit in the
+	// sender's coalescing window — far below MaxBatchTxns — until Close.
 	cfg := Config{FlushInterval: time.Minute, MaxBatchTxns: 4096}
 	a, err := NewNodeWithConfig("a", "127.0.0.1:0", cfg)
 	if err != nil {
@@ -341,7 +347,12 @@ func TestCleanShutdownFlushesQueue(t *testing.T) {
 	defer b.Close()
 	a.AddPeer("b", b.Addr())
 
-	commitN(a, "c", 200)
+	commitN(a, "c", 1)
+	waitUntil(t, "first txn sent", func() bool { return a.Stats().TxnsSent == 1 })
+	commitN(a, "c", 199)
+	if s := a.Stats(); s.TxnsSent >= 200 {
+		t.Fatalf("queue already empty before Close: %+v", s)
+	}
 	if err := a.Close(); err != nil {
 		t.Fatal(err)
 	}
