@@ -1,6 +1,7 @@
 package crdt
 
 import (
+	"slices"
 	"sort"
 
 	"ipa/internal/clock"
@@ -16,10 +17,43 @@ import (
 // re-asserts membership while preserving the payload the element had, even
 // if a concurrent remove deleted it — removed payloads are kept in a
 // graveyard until the stability horizon passes the remove.
+//
+// Each live element holds at most one add tag per origin replica: an add
+// or touch from origin o supersedes the element's older tag from o. The
+// store guarantees what makes this safe — remote updates arrive in causal
+// order (per-origin FIFO, dependencies first) and a replica applies its
+// own updates in sequence order — so any remove that observed o's newer
+// tag also observed every older one still live here, and dropping the
+// older tag never changes membership, payloads or MaxTag.
 type AWSet struct {
-	tags      map[string]eventSet // live add-events per element
-	payload   map[string]string   // payload of live elements
+	elems     map[string]awElem // live elements
 	graveyard map[string]graveEntry
+}
+
+// awElem is one live element: its add tags, at most one per origin and
+// sorted by replica (never empty), and its payload.
+type awElem struct {
+	tags []clock.EventID
+	pay  string
+}
+
+// addTag records t, superseding the element's tag from t's origin. It
+// reports false, changing nothing, when the element already holds a tag
+// from that origin at least as new.
+func (e *awElem) addTag(t clock.EventID) bool {
+	i := 0
+	for i < len(e.tags) && e.tags[i].Replica < t.Replica {
+		i++
+	}
+	if i < len(e.tags) && e.tags[i].Replica == t.Replica {
+		if e.tags[i].Seq >= t.Seq {
+			return false
+		}
+		e.tags[i].Seq = t.Seq
+		return true
+	}
+	e.tags = slices.Insert(e.tags, i, t)
+	return true
 }
 
 type graveEntry struct {
@@ -30,8 +64,7 @@ type graveEntry struct {
 // NewAWSet returns an empty add-wins set.
 func NewAWSet() *AWSet {
 	return &AWSet{
-		tags:      map[string]eventSet{},
-		payload:   map[string]string{},
+		elems:     map[string]awElem{},
 		graveyard: map[string]graveEntry{},
 	}
 }
@@ -74,11 +107,13 @@ func (s *AWSet) PrepareTouch(elem string, tag clock.EventID) AWAddOp {
 }
 
 // PrepareRemove builds the op that removes elem, cancelling the add events
-// observed at this replica.
+// observed at this replica. The observed tags are a copy: Apply rewrites
+// an element's tags in place, and the op may outlive this state in a send
+// queue or WAL buffer.
 func (s *AWSet) PrepareRemove(elem string, tag clock.EventID) AWRemoveOp {
 	obs := map[string][]clock.EventID{}
-	if ts, ok := s.tags[elem]; ok {
-		obs[elem] = ts.list()
+	if e, ok := s.elems[elem]; ok {
+		obs[elem] = slices.Clone(e.tags)
 	}
 	return AWRemoveOp{Elem: elem, Observed: obs, Tag: tag}
 }
@@ -88,9 +123,9 @@ func (s *AWSet) PrepareRemove(elem string, tag clock.EventID) AWRemoveOp {
 // still win (add-wins). For remove-wins wildcard semantics use RWSet.
 func (s *AWSet) PrepareRemoveWhere(pred Predicate, tag clock.EventID) AWRemoveOp {
 	obs := map[string][]clock.EventID{}
-	for elem, ts := range s.tags {
+	for elem, e := range s.elems {
 		if pred.Matches(elem) {
-			obs[elem] = ts.list()
+			obs[elem] = slices.Clone(e.tags)
 		}
 	}
 	return AWRemoveOp{Pred: pred, Observed: obs, Tag: tag}
@@ -100,40 +135,40 @@ func (s *AWSet) PrepareRemoveWhere(pred Predicate, tag clock.EventID) AWRemoveOp
 func (s *AWSet) Apply(op Op) {
 	switch o := op.(type) {
 	case AWAddOp:
-		ts, ok := s.tags[o.Elem]
-		if !ok {
-			ts = eventSet{}
-			s.tags[o.Elem] = ts
+		e, live := s.elems[o.Elem]
+		if !e.addTag(o.Tag) {
+			return // an add from this origin at least as new is held
 		}
-		ts.add(o.Tag)
-		if o.Touch {
-			if _, have := s.payload[o.Elem]; !have {
-				if g, ok := s.graveyard[o.Elem]; ok {
-					s.payload[o.Elem] = g.payload
-					delete(s.graveyard, o.Elem)
-				} else {
-					s.payload[o.Elem] = ""
-				}
+		switch {
+		case !o.Touch:
+			e.pay = o.Pay
+		case !live:
+			// A touch revives the payload a concurrent remove buried.
+			if g, ok := s.graveyard[o.Elem]; ok {
+				e.pay = g.payload
+				delete(s.graveyard, o.Elem)
 			}
-		} else {
-			s.payload[o.Elem] = o.Pay
 		}
+		s.elems[o.Elem] = e
 	case AWRemoveOp:
 		for elem, observed := range o.Observed {
-			ts, ok := s.tags[elem]
+			e, ok := s.elems[elem]
 			if !ok {
 				continue
 			}
-			for _, t := range observed {
-				delete(ts, t)
-			}
-			if len(ts) == 0 {
-				delete(s.tags, elem)
-				if pay, ok := s.payload[elem]; ok {
-					s.graveyard[elem] = graveEntry{payload: pay, removed: o.Tag}
-					delete(s.payload, elem)
+			kept := e.tags[:0]
+			for _, t := range e.tags {
+				if !slices.Contains(observed, t) {
+					kept = append(kept, t)
 				}
 			}
+			if len(kept) > 0 {
+				e.tags = kept
+				s.elems[elem] = e
+				continue
+			}
+			delete(s.elems, elem)
+			s.graveyard[elem] = graveEntry{payload: e.pay, removed: o.Tag}
 		}
 	}
 }
@@ -149,31 +184,27 @@ func (s *AWSet) Compact(horizon clock.Vector) {
 }
 
 // Contains reports membership.
-func (s *AWSet) Contains(elem string) bool { return len(s.tags[elem]) > 0 }
+func (s *AWSet) Contains(elem string) bool {
+	_, ok := s.elems[elem]
+	return ok
+}
 
 // Payload returns the element's payload ("" when absent).
 func (s *AWSet) Payload(elem string) (string, bool) {
-	p, ok := s.payload[elem]
-	return p, ok && s.Contains(elem)
+	e, ok := s.elems[elem]
+	return e.pay, ok
 }
 
 // Size returns the number of elements.
-func (s *AWSet) Size() int { return len(s.tags) }
+func (s *AWSet) Size() int { return len(s.elems) }
 
 // Elems returns the members in sorted order.
-func (s *AWSet) Elems() []string {
-	out := make([]string, 0, len(s.tags))
-	for e := range s.tags {
-		out = append(out, e)
-	}
-	sort.Strings(out)
-	return out
-}
+func (s *AWSet) Elems() []string { return sortedKeys(s.elems) }
 
 // ElemsWhere returns the members matching pred, sorted.
 func (s *AWSet) ElemsWhere(pred Predicate) []string {
 	var out []string
-	for e := range s.tags {
+	for e := range s.elems {
 		if pred.Matches(e) {
 			out = append(out, e)
 		}
@@ -182,45 +213,23 @@ func (s *AWSet) ElemsWhere(pred Predicate) []string {
 	return out
 }
 
-// MinTag returns the smallest live add event of elem, used by the
-// Compensation Set to pick victims deterministically.
-func (s *AWSet) MinTag(elem string) (clock.EventID, bool) {
-	ts, ok := s.tags[elem]
-	if !ok || len(ts) == 0 {
-		return clock.EventID{}, false
-	}
-	var min clock.EventID
-	first := true
-	for t := range ts {
-		if first || t.Less(min) {
-			min, first = t, false
-		}
-	}
-	return min, true
-}
-
 // MetadataSize reports the number of metadata entries held: live add
-// tags plus graveyard payloads. Used by the stability-GC ablation.
+// tags (at most one per origin per element) plus graveyard payloads.
 func (s *AWSet) MetadataSize() int {
 	n := len(s.graveyard)
-	for _, ts := range s.tags {
-		n += len(ts)
+	for _, e := range s.elems {
+		n += len(e.tags)
 	}
 	return n
 }
 
-// MaxTag returns the largest live add event of elem.
+// MaxTag returns the largest live add event of elem, which the
+// Compensation Set uses to pick victims deterministically.
 func (s *AWSet) MaxTag(elem string) (clock.EventID, bool) {
-	ts, ok := s.tags[elem]
-	if !ok || len(ts) == 0 {
+	e, ok := s.elems[elem]
+	if !ok {
 		return clock.EventID{}, false
 	}
-	var max clock.EventID
-	first := true
-	for t := range ts {
-		if first || max.Less(t) {
-			max, first = t, false
-		}
-	}
-	return max, true
+	// One tag per origin, sorted by replica: the last is the largest.
+	return e.tags[len(e.tags)-1], true
 }

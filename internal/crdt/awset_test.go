@@ -143,21 +143,18 @@ func TestAWSetCompactDropsStableGraveyard(t *testing.T) {
 	}
 }
 
-func TestAWSetMinMaxTag(t *testing.T) {
+func TestAWSetMaxTag(t *testing.T) {
 	g := newTagger()
 	s := NewAWSet()
 	t1 := g.tag("a")
 	t2 := g.tag("b")
 	s.Apply(AWAddOp{Elem: "x", Tag: t2})
 	s.Apply(AWAddOp{Elem: "x", Tag: t1})
-	if min, ok := s.MinTag("x"); !ok || min != t1 {
-		t.Fatalf("MinTag = %v, %v", min, ok)
-	}
 	if max, ok := s.MaxTag("x"); !ok || max != t2 {
 		t.Fatalf("MaxTag = %v, %v", max, ok)
 	}
-	if _, ok := s.MinTag("absent"); ok {
-		t.Fatal("MinTag on absent element")
+	if _, ok := s.MaxTag("absent"); ok {
+		t.Fatal("MaxTag on absent element")
 	}
 }
 

@@ -151,10 +151,3 @@ func (s eventSet) addAll(es []clock.EventID) {
 		s[e] = struct{}{}
 	}
 }
-func (s eventSet) list() []clock.EventID {
-	out := make([]clock.EventID, 0, len(s))
-	for e := range s {
-		out = append(out, e)
-	}
-	return out
-}

@@ -85,7 +85,10 @@ func DecodeVectorWire(r *WireReader) (clock.Vector, error) {
 }
 
 func sortedEvents(s eventSet) []clock.EventID {
-	es := s.list()
+	es := make([]clock.EventID, 0, len(s))
+	for e := range s {
+		es = append(es, e)
+	}
 	sort.Slice(es, func(i, j int) bool { return es[i].Less(es[j]) })
 	return es
 }
@@ -176,11 +179,12 @@ func DecodeCRDTState(r *WireReader) (CRDT, error) {
 // --- AWSet ----------------------------------------------------------------
 
 func (s *AWSet) appendState(b []byte) []byte {
-	b = binary.AppendUvarint(b, uint64(len(s.tags)))
-	for _, elem := range sortedKeys(s.tags) {
+	b = binary.AppendUvarint(b, uint64(len(s.elems)))
+	for _, elem := range sortedKeys(s.elems) {
+		e := s.elems[elem]
 		b = AppendWireString(b, elem)
-		b = appendEventSet(b, s.tags[elem])
-		b = AppendWireString(b, s.payload[elem])
+		b = appendEventIDs(b, e.tags) // already in EventID order
+		b = AppendWireString(b, e.pay)
 	}
 	b = binary.AppendUvarint(b, uint64(len(s.graveyard)))
 	for _, elem := range sortedKeys(s.graveyard) {
@@ -192,6 +196,10 @@ func (s *AWSet) appendState(b []byte) []byte {
 	return b
 }
 
+// decodeAWSetState rejects an element with no add tags or listed twice:
+// neither comes from appendState, and both would break decode→encode
+// being a fixed point. Tags of one element from the same origin fold
+// into the newest, as Apply would have left them.
 func decodeAWSetState(r *WireReader) (*AWSet, error) {
 	s := NewAWSet()
 	n, err := r.ReadCount()
@@ -203,7 +211,7 @@ func decodeAWSetState(r *WireReader) (*AWSet, error) {
 		if err != nil {
 			return nil, err
 		}
-		tags, err := r.readEventSet()
+		tags, err := r.readEventIDs()
 		if err != nil {
 			return nil, err
 		}
@@ -211,8 +219,17 @@ func decodeAWSetState(r *WireReader) (*AWSet, error) {
 		if err != nil {
 			return nil, err
 		}
-		s.tags[elem] = tags
-		s.payload[elem] = pay
+		if len(tags) == 0 {
+			return nil, wireErrf("aw-set element %q has no add tags", elem)
+		}
+		if _, dup := s.elems[elem]; dup {
+			return nil, wireErrf("aw-set element %q listed twice", elem)
+		}
+		e := awElem{pay: pay}
+		for _, t := range tags {
+			e.addTag(t)
+		}
+		s.elems[elem] = e
 	}
 	if n, err = r.ReadCount(); err != nil {
 		return nil, err
@@ -229,6 +246,9 @@ func decodeAWSetState(r *WireReader) (*AWSet, error) {
 		removed, err := r.ReadEventID()
 		if err != nil {
 			return nil, err
+		}
+		if _, dup := s.graveyard[elem]; dup {
+			return nil, wireErrf("aw-set graveyard element %q listed twice", elem)
 		}
 		s.graveyard[elem] = graveEntry{payload: pay, removed: removed}
 	}
